@@ -16,7 +16,10 @@ result comes back as plain arrays the parent stitches together.
 
 from __future__ import annotations
 
+import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context, shared_memory
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,23 +32,86 @@ from repro.distance.profile import correlation_from_qt
 from repro.distance.sliding import validate_subsequence_length
 from repro.distance.znorm import CONSTANT_EPS
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import positive_int, require, series_like
+from repro.lint.contracts import (
+    instance_of,
+    optional,
+    positive_int,
+    require,
+    series_like,
+)
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
-from repro.matrixprofile.parallel import (
-    _attach,
-    _create_shared,
-    _preferred_context,
-    resolve_n_jobs,
-)
 from repro.matrixprofile.stomp import iterate_stomp_rows
 
-__all__ = ["compute_matrix_profile", "row_blocks"]
+__all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
 
 #: relative cost of replaying one row of the dot-product recurrence,
 #: versus fully processing one row (distance profile + listDP insert).
 #: Measured on the vectorized kernels; only load balance depends on it.
 REPLAY_COST = 0.35
+
+
+@require(n_jobs=optional(instance_of(int)))
+def resolve_n_jobs(n_jobs: Optional[int]) -> int:
+    """Normalize an ``n_jobs`` request to a positive worker count.
+
+    ``None`` and ``0`` mean "let the library decide" (all visible CPUs);
+    negative values follow the joblib convention ``cpus + 1 + n_jobs``
+    (so ``-1`` is all CPUs, ``-2`` all but one).
+    """
+    cpus = os.cpu_count() or 1
+    if n_jobs is None or n_jobs == 0:
+        return cpus
+    if n_jobs < 0:
+        return max(1, cpus + 1 + n_jobs)
+    return int(n_jobs)
+
+
+def _create_shared(arr: FloatArray) -> Tuple[shared_memory.SharedMemory, FloatArray]:
+    """Copy ``arr`` into a fresh shared-memory block; returns (shm, view)."""
+    shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
+    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+    view[...] = arr
+    return shm, view
+
+
+def _attach(name: str, shape: Tuple[int, ...], dtype: str, untrack: bool):
+    """Attach to an existing block, optionally without tracking it.
+
+    Under a *spawn* start method every worker runs its own resource
+    tracker, which would unlink the block when the first worker exits —
+    yanking it out from under its siblings and the parent (who owns the
+    lifetime and unlinks in its ``finally``).  Those workers must
+    unregister after attaching.  Under *fork* the tracker is shared with
+    the parent, and unregistering here would instead drop the parent's
+    own registration — so they must not.
+    """
+    shm = shared_memory.SharedMemory(name=name)
+    if untrack:
+        try:  # pragma: no cover - depends on multiprocessing internals
+            from multiprocessing import resource_tracker
+
+            resource_tracker.unregister(shm._name, "shared_memory")
+        except (ImportError, AttributeError, KeyError, ValueError) as err:
+            # Tracker layout differs across Python patch releases; a failed
+            # unregister only risks a spurious cleanup warning, so log and
+            # continue.  Anything else (e.g. a corrupted tracker pipe) is a
+            # real failure and propagates.
+            warnings.warn(
+                f"could not unregister shared-memory block {shm._name!r} "
+                f"from the worker resource tracker: {err!r}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+
+
+def _preferred_context():
+    """Fork where available (zero-copy page sharing), else the default."""
+    try:
+        return get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return get_context()
 
 
 @require(n_rows=positive_int(), n_blocks=positive_int())

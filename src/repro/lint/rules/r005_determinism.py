@@ -1,7 +1,7 @@
 """R005: worker code must be deterministic and picklable.
 
-The parallel engines promise bitwise-identical results for every worker
-count.  Two code shapes silently break that promise:
+Algorithm 3's row-block fan-out promises bitwise-identical results for
+every worker count.  Two code shapes silently break that promise:
 
 * iterating a ``set`` (hash order varies across processes and runs) to
   produce ordered side effects — iterate ``sorted(...)`` instead;

@@ -14,12 +14,9 @@ Engines
     which Algorithm 3 of the paper extends.
 :func:`repro.matrixprofile.stamp.stamp`
     MASS-based engine; supports anytime (random-order, early-stop) runs.
-:func:`repro.matrixprofile.parallel.parallel_stomp`
-    Diagonal-chunked STOMP across worker processes; bitwise identical to
-    the serial engine for every worker count.
 
 The :mod:`repro.matrixprofile.registry` module maps engine names
-(``"stomp" | "stamp" | "scrimp" | "brute" | "parallel-stomp"``) to
+(``"stomp" | "stamp" | "scrimp" | "brute" | "blocked-stomp"``) to
 implementations so callers can dispatch by string.
 """
 
@@ -29,7 +26,6 @@ from repro.matrixprofile.brute import brute_force_matrix_profile
 from repro.matrixprofile.stomp import stomp
 from repro.matrixprofile.stamp import stamp
 from repro.matrixprofile.scrimp import pre_scrimp, scrimp
-from repro.matrixprofile.parallel import parallel_stomp
 from repro.matrixprofile.registry import (
     EngineSpec,
     compute_with,
@@ -65,7 +61,6 @@ __all__ = [
     "stamp",
     "scrimp",
     "pre_scrimp",
-    "parallel_stomp",
     "EngineSpec",
     "register_engine",
     "get_engine",

@@ -10,7 +10,7 @@ dot products) as a generator so VALMOD's Algorithm 3 — which is STOMP plus
 lower-bound bookkeeping — can reuse the exact same inner loop.  The
 ``row_range`` parameter lets a caller replay the recurrence up to a start
 row and only materialize distance profiles for a block of rows — the
-primitive the parallel engines build on.
+primitive Algorithm 3's row-block workers build on.
 
 Numerical robustness
 --------------------
@@ -21,8 +21,8 @@ huge products, and the cancellation error can corrupt every later row.
 :func:`stomp_reanchor_rows` pre-computes — deterministically, from the
 series alone — the rows at which the accumulated drift bound crosses a
 tolerance; at those rows the recurrence is re-anchored with an exactly
-summed dot-product row.  The schedule is a pure function of the input so
-the chunked parallel engine (:mod:`repro.matrixprofile.parallel`) can
+summed dot-product row.  The schedule is a pure function of the input, so
+the row-block workers of :func:`repro.core.compute_mp.compute_matrix_profile`
 reproduce the serial results bit for bit.
 """
 

@@ -3,8 +3,9 @@
 One parameterized sweep proves all engines agree on the same fixtures:
 profile values within 1e-8 of ``brute``, and neighbor indices that agree
 up to tie-breaking (the reported neighbor must realize the reported
-distance).  The parallel engine additionally runs at several worker
-counts, where it must be *bitwise* identical to serial STOMP.
+distance).  Algorithm 3's row-block fan-out — the package's only
+multi-process path — additionally runs at several worker counts, where
+its profile must be *bitwise* identical to serial STOMP.
 """
 
 import pathlib
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.compute_mp import compute_matrix_profile
+from repro.core.discords_variable import find_discords_pruned
 from repro.distance.znorm import znormalized_distance
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.brute import brute_force_matrix_profile
-from repro.matrixprofile.parallel import parallel_stomp
 from repro.matrixprofile.registry import (
     compute_with,
     engine_names,
@@ -114,10 +116,10 @@ def test_engine_matches_brute(engine, fixture, oracles):
 def test_parallel_engine_bitwise_vs_serial(n_jobs, fixture, oracles):
     series, length, _ = oracles[fixture]
     serial = stomp(series, length)
-    mp = parallel_stomp(series, length, n_jobs=n_jobs)
+    mp, _ = compute_matrix_profile(series, length, 5, n_jobs=n_jobs)
     np.testing.assert_array_equal(
         mp.profile, serial.profile,
-        err_msg=f"parallel-stomp n_jobs={n_jobs} not bitwise on {fixture}",
+        err_msg=f"compute_mp n_jobs={n_jobs} not bitwise on {fixture}",
     )
     np.testing.assert_array_equal(mp.index, serial.index)
 
@@ -148,7 +150,7 @@ def test_tracing_does_not_change_parallel_workers(oracles):
     serial = stomp(series, length)
     with obs.tracing(True):
         obs.reset()
-        mp = parallel_stomp(series, length, n_jobs=2, n_chunks=4)
+        mp, _ = compute_matrix_profile(series, length, 5, n_jobs=2)
         pids = obs.snapshot()["pids"]
     obs.reset()
     obs.disable()
@@ -187,17 +189,29 @@ def test_repro_trace_env_does_not_change_results(tmp_path):
     np.testing.assert_array_equal(results["on"], results["off"])
 
 
+REMAINING_ENGINES = ("stomp", "stamp", "scrimp", "brute", "blocked-stomp")
+
+
 def test_registry_lists_all_engines():
-    names = engine_names()
-    for expected in ("stomp", "stamp", "scrimp", "brute", "parallel-stomp"):
-        assert expected in names
-    assert get_engine("parallel-stomp").parallel
-    assert not get_engine("stomp").parallel
+    assert engine_names() == REMAINING_ENGINES
+    for name in REMAINING_ENGINES:
+        spec = get_engine(name)
+        assert spec.name == name and spec.description
 
 
 def test_registry_rejects_unknown_engine():
-    with pytest.raises(InvalidParameterError, match="parallel-stomp"):
+    with pytest.raises(InvalidParameterError, match="blocked-stomp"):
         get_engine("no-such-engine")
+
+
+@pytest.mark.parametrize("name", ["parallel-stomp", "blocked-stomp-f32"])
+def test_removed_engine_names_raise_typed_error(name):
+    with pytest.raises(InvalidParameterError) as err:
+        get_engine(name)
+    message = str(err.value)
+    assert repr(name) in message
+    choices = message.split("choose one of:")[1].split(",")
+    assert sorted(c.strip() for c in choices) == sorted(REMAINING_ENGINES)
 
 
 class TestNJobsIgnored:
@@ -250,11 +264,19 @@ class TestNJobsIgnored:
         assert [w for w in caught if w.category is RuntimeWarning] == []
         assert counters.get("engine.n_jobs_ignored", 0) == 0
 
-    def test_parallel_engine_accepts_n_jobs_silently(self, oracles):
+    def test_fan_out_callers_do_not_warn(self):
+        """``n_jobs`` drives Algorithm 3's row blocks in the discord and
+        streaming drivers; it must not reach the serial engine and
+        trigger the ignored-``n_jobs`` warning there."""
         import warnings as warnings_mod
 
-        series, length, _ = oracles["short"]
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            compute_with("parallel-stomp", series, length, n_jobs=2)
-        assert [w for w in caught if w.category is RuntimeWarning] == []
+        from repro.matrixprofile.streaming_valmod import StreamingValmod
+
+        series = np.random.default_rng(3).standard_normal(300).cumsum()
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("error", RuntimeWarning)
+            find_discords_pruned(series, 16, 20, k=2, n_jobs=2)
+            stream = StreamingValmod(series[:240], 16, 20, n_jobs=2)
+            stream.extend(series[240:])
+            stream.motifs()
+            stream.discords()

@@ -131,16 +131,16 @@ class TestFlatSegmentNumerics:
         return t
 
     def test_flat_window_spanning_chunk_seam_has_no_nan(self):
-        from repro.matrixprofile.parallel import parallel_stomp
+        from repro.core.compute_mp import compute_matrix_profile
 
         rng = np.random.default_rng(9)
         t = rng.standard_normal(200)
-        # Flat segment centered on the series midpoint so every chunking
-        # of the diagonals puts a seam through its zero-variance windows.
+        # Flat segment around the middle of the series, so the seams of
+        # Algorithm 3's row blocks pass through its zero-variance windows.
         t[90:130] = -3.0
         serial = stomp(t, 20)
-        for n_chunks in (2, 3, 5):
-            mp = parallel_stomp(t, 20, n_jobs=1, n_chunks=n_chunks)
+        for n_jobs in (2, 3):
+            mp, _ = compute_matrix_profile(t, 20, 5, n_jobs=n_jobs)
             assert not np.isnan(mp.profile).any()
             assert not np.isinf(mp.profile).any()
             np.testing.assert_array_equal(mp.profile, serial.profile)
@@ -166,17 +166,17 @@ class TestFlatSegmentNumerics:
         assert error < tolerance
 
     def test_high_magnitude_shelf_parallel_bitwise(self):
-        """The shelf activates the re-anchoring schedule; the parallel
-        engine must mirror it exactly (the two-chain design)."""
+        """The shelf activates the re-anchoring schedule; Algorithm 3's
+        row-block workers must replay it exactly."""
+        from repro.core.compute_mp import compute_matrix_profile
         from repro.distance.sliding import moving_mean_std
-        from repro.matrixprofile.parallel import parallel_stomp
         from repro.matrixprofile.stomp import stomp_reanchor_rows
 
         t = self._shelf_series(1e8)
         _, sigma = moving_mean_std(t, 16)
         assert stomp_reanchor_rows(t, 16, sigma).size > 0
         serial = stomp(t, 16)
-        for n_chunks in (2, 5):
-            mp = parallel_stomp(t, 16, n_jobs=1, n_chunks=n_chunks)
+        for n_jobs in (2, 3):
+            mp, _ = compute_matrix_profile(t, 16, 5, n_jobs=n_jobs)
             np.testing.assert_array_equal(mp.profile, serial.profile)
             np.testing.assert_array_equal(mp.index, serial.index)

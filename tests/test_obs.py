@@ -17,7 +17,6 @@ from repro import obs
 from repro.core.compute_mp import compute_matrix_profile
 from repro.exceptions import InvalidParameterError
 from repro.harness.runner import run_algorithm
-from repro.matrixprofile.parallel import parallel_stomp
 from repro.matrixprofile.stomp import stomp
 from repro.obs import (
     Tracer,
@@ -248,27 +247,30 @@ class TestMultiprocessAggregation:
         assert len(serial_pids) == 1
         assert len(parallel_pids) >= 2
 
-    def test_parallel_stomp_counters_match_serial_stomp(self):
+    def test_row_block_counters_match_serial_stomp(self):
+        """Worker snapshots merge into the parent: the row totals of a
+        two-worker Algorithm 3 run equal serial STOMP's, and each worker
+        seeds its block with exactly one first-row dot product."""
+        from repro.core.compute_mp import row_blocks
+
         series = _series(450, seed=2)
 
-        def engine_counters(fn):
+        def traced(fn):
             with obs.tracing(True):
                 obs.reset()
                 fn()
                 snap = obs.snapshot()
-            return {
-                k: v
-                for k, v in snap["counters"].items()
-                if k.startswith(("engine.", "mass."))
-            }
+            return snap["counters"], snap["pids"]
 
-        serial = engine_counters(lambda: stomp(series, 20))
-        pooled = engine_counters(
-            lambda: parallel_stomp(series, 20, n_jobs=2, n_chunks=4)
+        serial, _ = traced(lambda: stomp(series, 20))
+        pooled, pids = traced(
+            lambda: compute_matrix_profile(series, 20, 5, n_jobs=2)
         )
-        assert serial["engine.rows"] == pooled["engine.rows"]
-        assert serial["engine.cells"] == pooled["engine.cells"]
-        assert serial == pooled
+        rows = serial["engine.rows"]
+        assert len(pids) >= 2, "worker snapshots were not merged"
+        assert pooled["compute_mp.rows"] == rows
+        assert pooled["listdp.rows_filled"] == rows
+        assert pooled["mass.direct_dot_calls"] == len(row_blocks(rows, 2))
 
 
 class TestReport:

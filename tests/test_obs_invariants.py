@@ -23,7 +23,7 @@ from repro.core.discords_variable import find_discords_pruned
 from repro.core.valmod import Valmod
 from repro.obs.report import derived_metrics
 from repro.datasets.registry import load_dataset
-from repro.matrixprofile.parallel import parallel_stomp
+from repro.kernels import blocked_stomp
 from repro.matrixprofile.stomp import stomp
 
 _LENGTH = re.compile(r"^submp\.profiles\.total\.l(\d+)$")
@@ -87,7 +87,7 @@ class TestCounterAccounting:
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=6, deadline=None)
-    def test_stomp_and_parallel_stomp_report_identical_work(self, seed):
+    def test_stomp_and_blocked_stomp_report_identical_work(self, seed):
         rng = np.random.default_rng(seed)
         t = rng.standard_normal(280).cumsum()
         length = 16
@@ -100,13 +100,11 @@ class TestCounterAccounting:
             }
 
         serial = only_engine(_traced_counters(lambda: stomp(t, length)))
-        chunked = only_engine(
-            _traced_counters(
-                lambda: parallel_stomp(t, length, n_jobs=1, n_chunks=3)
-            )
+        blocked = only_engine(
+            _traced_counters(lambda: blocked_stomp(t, length, block_rows=7))
         )
         assert serial["engine.cells"] > 0
-        assert serial == chunked
+        assert serial == blocked
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=8, deadline=None)
