@@ -1,9 +1,20 @@
 """Algorithm 3 — ComputeMatrixProfile with lower-bound bookkeeping.
 
-Runs the STOMP inner loop (shared with :mod:`repro.matrixprofile.stomp`)
-and, per distance profile, stores the p entries with the smallest
-lower-bound distance into the :class:`~repro.core.entries.EntryStore`.
-This is the O(n^2 log p) first phase of VALMOD.
+Runs the STOMP dot-product recurrence (shared with
+:mod:`repro.matrixprofile.stomp`) and, per distance profile, stores the p
+entries with the smallest lower-bound distance into the
+:class:`~repro.core.entries.EntryStore`.  This is the O(n^2 log p) first
+phase of VALMOD.
+
+The recurrence is inherently serial — row i derives from row i-1 — but
+what is done with a row is not: the rows it produces are gathered into
+blocks of :data:`~repro.core.entries.LISTDP_BLOCK_ROWS` rows, and each
+block is scored (correlation once, then Eq. 3 distances, exclusion and
+argmin) and bounded and selected (``lb_base`` and ``argpartition`` in
+:meth:`EntryStore.fill_row`) in one 2-D pass.  Every element goes through
+the same floating-point operations as in a one-row pipeline, so the
+results are bitwise those of the rowwise loop (``tests/test_listdp_blocks.py``
+keeps that loop as the reference).
 
 With ``n_jobs > 1`` the rows are split into blocks processed by worker
 processes.  Each worker replays the STOMP dot-product recurrence up to
@@ -27,8 +38,12 @@ import numpy as np
 from repro import obs
 from repro.types import FloatArray
 
-from repro.core.entries import EntryStore
-from repro.distance.profile import correlation_from_qt
+from repro.core.entries import LISTDP_BLOCK_ROWS, EntryStore
+from repro.distance.profile import (
+    apply_exclusion_zone,
+    correlation_from_qt,
+    distance_from_correlation,
+)
 from repro.distance.sliding import validate_subsequence_length
 from repro.distance.znorm import CONSTANT_EPS
 from repro.kernels.context import SeriesContext
@@ -41,7 +56,7 @@ from repro.lint.contracts import (
 )
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
-from repro.matrixprofile.stomp import iterate_stomp_rows
+from repro.matrixprofile.stomp import iterate_stomp_qt
 
 __all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
 
@@ -149,11 +164,14 @@ def _fill_block(
     stop: int,
     context: Optional[SeriesContext] = None,
 ) -> Tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Profile, index, and listDP rows for the row block ``[start, stop)``.
+    """Profile, index, and listDP rows for the row range ``[start, stop)``.
 
-    The exact per-row pipeline of the serial loop, restricted to a block;
-    ``iterate_stomp_rows`` replays the recurrence up to ``start`` so every
-    produced row matches a full serial run bit for bit.
+    ``iterate_stomp_qt`` replays the recurrence up to ``start`` so every
+    produced row matches a full serial run bit for bit.  Its rows are
+    gathered into blocks of :data:`~repro.core.entries.LISTDP_BLOCK_ROWS` rows;
+    each block's correlations are computed once and feed both the Eq. 3
+    distances (profile and index) and the listDP fill, so the per-row
+    NumPy calls of a rowwise pipeline become one 2-D pass per block.
     """
     ctx = SeriesContext.ensure(t, context, min_length=4)
     t = ctx.series
@@ -164,19 +182,36 @@ def _fill_block(
     profile = np.empty(rows, dtype=np.float64)
     index = np.empty(rows, dtype=np.int64)
     store = EntryStore.empty(max(rows, 1), p, length)
-    positions = np.arange(n_subs)
-    for i, qt, row in iterate_stomp_rows(
-        t, length, mu, sigma, row_range=(start, stop), context=ctx
-    ):
-        j = int(np.argmin(row))
-        k = i - start
-        profile[k] = row[j]
-        index[k] = j if np.isfinite(row[j]) else -1
+    qt_block = np.empty((LISTDP_BLOCK_ROWS, n_subs), dtype=np.float64)
+    corr_block = np.empty((LISTDP_BLOCK_ROWS, n_subs), dtype=np.float64)
+    dist_block = np.empty((LISTDP_BLOCK_ROWS, n_subs), dtype=np.float64)
+    sigma_q = np.maximum(sigma, CONSTANT_EPS)[:, None]
+    mu_q = mu[:, None]
+    filled = 0
+    for i, qt in iterate_stomp_qt(t, length, sigma, row_range=(start, stop), context=ctx):
+        qt_block[filled] = qt
+        filled += 1
+        if filled < LISTDP_BLOCK_ROWS and i + 1 < stop:
+            continue
+        first = i + 1 - filled
+        queries = slice(first, i + 1)
+        qts = qt_block[:filled]
         corr = correlation_from_qt(
-            qt, length, float(mu[i]), max(float(sigma[i]), CONSTANT_EPS), mu, sigma
+            qts, length, mu_q[queries], sigma_q[queries], mu, sigma,
+            out=corr_block[:filled],
         )
-        eligible = np.abs(positions - i) >= zone
-        store.fill_row(k, qt, corr, float(sigma[i]), length, eligible)
+        dist = distance_from_correlation(
+            corr, length, sigma[queries], sigma, out=dist_block[:filled]
+        )
+        for k in range(filled):
+            apply_exclusion_zone(dist[k], first + k, zone)
+        best = np.argmin(dist, axis=1)
+        local = slice(first - start, i + 1 - start)
+        profile[local] = dist[np.arange(filled), best]
+        index[local] = np.where(np.isfinite(profile[local]), best, -1)
+        centres = np.arange(first, i + 1)
+        store.fill_row(centres - start, centres, qts, corr, sigma[queries], length)
+        filled = 0
     return profile, index, store.neighbor[:rows], store.qt[:rows], store.lb_base[:rows]
 
 

@@ -21,6 +21,20 @@ If the best valid distance beats every non-valid profile's maxLB, it is
 the motif distance (``bBestM``).  Otherwise the non-valid profiles whose
 maxLB could hide a better pair are recomputed in full — but only when
 they are few; else the caller falls back to Algorithm 3.
+
+Recompute batches
+-----------------
+The recompute walks the non-valid profiles in ascending maxLB order and
+stops at the first one whose maxLB reaches the best distance so far.
+Rows are *computed* in batches of 1, 2, 4, ... up to
+:data:`~repro.core.entries.LISTDP_BLOCK_ROWS` — one 2-D FFT, one block
+of distances and one listDP fill per batch — but *committed* one at a
+time, in order, with that same exit test.  Commits must stay serial:
+each committed row may lower the best distance, and that decides
+whether the next row is needed at all.  Rows computed past the exit are
+discarded, so the result, the store and the counters are those of a
+one-row loop; the geometric growth keeps the discarded tail to at most
+one batch per length.
 """
 
 from __future__ import annotations
@@ -34,10 +48,11 @@ import numpy as np
 from repro import obs
 from repro.types import BoolArray, FloatArray, IntArray
 
-from repro.core.entries import EntryStore
+from repro.core.entries import LISTDP_BLOCK_ROWS, EntryStore
 from repro.core.lower_bound import lower_bound_from_base
 from repro.distance.mass import mass_with_stats
-from repro.distance.profile import apply_exclusion_zone, correlation_from_qt
+from repro.distance.profile import apply_exclusion_zone
+from repro.distance.sliding import count_dot_products
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
@@ -214,40 +229,52 @@ def compute_submp(
         # Partial recompute (Algorithm 4, lines 27-38): visit non-valid
         # profiles in ascending maxLB order; stop as soon as the bound
         # proves no remaining profile can beat the best-so-far.
-        positions = np.arange(n_dp)
+        order = needing[np.argsort(max_lb[needing])]
+        windows = np.lib.stride_tricks.sliding_window_view(t, new_length)
+        corr_block = np.empty((LISTDP_BLOCK_ROWS, n_dp), dtype=np.float64)
+        size = 1
         with obs.span("submp.recompute"):
-            for r in needing[np.argsort(max_lb[needing])]:
-                if max_lb[r] >= best_distance:
-                    break
-                r = int(r)
-                qt_row = ctx.sliding_dot_product(t[r : r + new_length])
-                row_dp = mass_with_stats(t, r, new_length, mu, sigma, qt=qt_row)
-                apply_exclusion_zone(row_dp, r, zone)
-                j = int(np.argmin(row_dp))
-                sub_profile[r] = row_dp[j] if np.isfinite(row_dp[j]) else np.nan
-                index[r] = j if np.isfinite(row_dp[j]) else -1
-                if row_dp[j] < best_distance:
-                    best_distance = float(row_dp[j])
-                    best_pair = (r, j)
-                # Rebuild this profile's listDP row at the new base length
-                # so later steps keep pruning (Algorithm 4, line 34).
-                corr_row = correlation_from_qt(
-                    qt_row,
-                    new_length,
-                    float(mu[r]),
-                    max(float(sigma[r]), CONSTANT_EPS),
-                    mu,
-                    sigma,
+            while n_recomputed < order.size and max_lb[order[n_recomputed]] < best_distance:
+                batch = order[n_recomputed : n_recomputed + size]
+                qt_rows = ctx.sliding_dot_product(windows[batch])
+                corr = corr_block[: batch.size]
+                dists = mass_with_stats(
+                    t, batch, new_length, mu, sigma, qt=qt_rows, corr_out=corr
                 )
+                for k, r in enumerate(batch.tolist()):
+                    apply_exclusion_zone(dists[k], r, zone)
+                nearest = np.argmin(dists, axis=1)
+                # Commit in order with the one-row loop's exit test: each
+                # row may lower best_distance, which may stop the next.
+                kept = 0
+                for k, r in enumerate(batch.tolist()):
+                    if max_lb[r] >= best_distance:
+                        break
+                    j = int(nearest[k])
+                    d = dists[k, j]
+                    sub_profile[r] = d if np.isfinite(d) else np.nan
+                    index[r] = j if np.isfinite(d) else -1
+                    if d < best_distance:
+                        best_distance = float(d)
+                        best_pair = (r, j)
+                    kept += 1
+                # Rebuild the committed profiles' listDP rows at the new
+                # base length so later steps keep pruning (Algorithm 4,
+                # line 34) from the batch's correlations; rows past the
+                # exit keep their old entries.
+                rows = batch[:kept]
                 store.fill_row(
-                    r,
-                    qt_row,
-                    corr_row,
-                    float(sigma[r]),
-                    new_length,
-                    np.abs(positions - r) >= zone,
+                    rows, rows, qt_rows[:kept], corr[:kept], sigma[rows], new_length
                 )
-                n_recomputed += 1
+                n_recomputed += kept
+                if kept < batch.size:
+                    break
+                size = min(2 * size, LISTDP_BLOCK_ROWS)
+        if obs.enabled():
+            # Block calls leave the per-profile counters to their caller:
+            # only committed rows count, as in a one-row loop.
+            obs.add("mass.profile_calls", n_recomputed)
+            count_dot_products(new_length, n_recomputed)
         found = True
 
     if obs.enabled():

@@ -18,6 +18,14 @@ Empty slots (profiles with fewer than p non-trivial candidates) have
 neighbor -1 and ``lb_base = +inf``; the +inf makes ``max_lb`` infinite for
 such profiles, which encodes "the store holds every candidate, nothing
 was left unstored" — the validity test is then trivially satisfied.
+
+Rows are (re)built a block at a time (:meth:`EntryStore.fill_row`): both
+Algorithm 3 and Algorithm 4's recompute hand over a block of freshly
+computed profiles.  Filling is independent per row, so a block fill
+equals the row fills it replaces; what must stay serial is Algorithm 4's
+decision *which* rows to fill, which is why its recompute commits rows
+one at a time and fills only the committed ones
+(:mod:`repro.core.compute_submp`).
 """
 
 from __future__ import annotations
@@ -27,12 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.types import BoolArray, FloatArray, IntArray
+from repro.types import FloatArray, IntArray
 
 from repro.core.lower_bound import lower_bound_base
 from repro.exceptions import InvalidParameterError
+from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
-__all__ = ["EntryStore"]
+__all__ = ["EntryStore", "LISTDP_BLOCK_ROWS"]
+
+#: rows per block of the listDP pipeline: Algorithms 3 and 4 score, bound
+#: and select their rows this many at a time, which amortizes NumPy's
+#: per-call cost; more rows cost peak memory without saving time
+#: (EXPERIMENTS.md has the sweep).
+LISTDP_BLOCK_ROWS = 8
 
 
 @dataclass
@@ -87,43 +102,65 @@ class EntryStore:
 
     def fill_row(
         self,
-        row: int,
-        qt_row: FloatArray,
-        corr_row: FloatArray,
-        sigma_owner: float,
+        rows: IntArray,
+        centres: IntArray,
+        qt_rows: FloatArray,
+        corr_rows: FloatArray,
+        sigma_owner: FloatArray,
         length: int,
-        eligible: BoolArray,
     ) -> None:
-        """Rebuild one row from a freshly computed distance profile.
+        """Rebuild a block of rows from freshly computed distance profiles.
 
-        ``qt_row`` / ``corr_row`` are the dot products and correlations of
-        profile ``row`` against every candidate at ``length``;
-        ``eligible`` marks candidates outside the exclusion zone.  Keeps
-        the p candidates with the smallest lower bound (equivalently, the
-        smallest ``lb_base``, since the 1/sigma factor is shared).
+        Store row ``rows[k]`` receives the profile of query ``centres[k]``
+        (its exclusion-zone centre): ``qt_rows[k]`` / ``corr_rows[k]`` are
+        that query's dot products and correlations against every candidate
+        at ``length``, ``sigma_owner[k]`` its sigma.  Each row keeps the p
+        eligible candidates with the smallest lower bound (equivalently,
+        the smallest ``lb_base``, since the 1/sigma factor is shared).
+
+        One lower-bound pass and one ``argpartition`` cover the block;
+        each row gets the bits a one-row fill would give it.  Rows with
+        fewer than p finite candidates take a per-row tail that drops the
+        empty picks.  ``corr_rows`` is overwritten (it becomes the block's
+        ``lb_base``).
         """
         base = np.asarray(
-            lower_bound_base(corr_row, length, sigma_owner), dtype=np.float64
+            lower_bound_base(corr_rows, length, sigma_owner[:, None], out=corr_rows)
         )
-        base = np.where(eligible, base, np.inf)
+        n_candidates = base.shape[1]
+        zone = exclusion_zone_half_width(length)
+        for k, centre in enumerate(centres.tolist()):
+            base[k, max(0, centre - zone + 1) : min(n_candidates, centre + zone)] = np.inf
         p = self.p
-        n_candidates = base.size
-        if n_candidates > p:
-            picked = np.argpartition(base, p - 1)[:p]
-        else:
-            picked = np.arange(n_candidates)
-        picked = picked[np.isfinite(base[picked])]
-        count = picked.size
+        picked = (
+            np.argpartition(base, p - 1, axis=1)[:, :p]
+            if n_candidates > p
+            else np.broadcast_to(np.arange(n_candidates), base.shape)
+        )
+        lb = np.take_along_axis(base, picked, axis=1)
+        qt = np.take_along_axis(qt_rows, picked, axis=1)
+        width = picked.shape[1]
+        self.neighbor[rows, :width] = picked
+        self.qt[rows, :width] = qt
+        self.lb_base[rows, :width] = lb
+        self.neighbor[rows, width:] = -1
+        self.qt[rows, width:] = 0.0
+        self.lb_base[rows, width:] = np.inf
+        self.base_length[rows] = length
+        finite = np.isfinite(lb)
+        for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+            keep = finite[k]
+            count = int(keep.sum())
+            row = rows[k]
+            self.neighbor[row, :count] = picked[k][keep]
+            self.neighbor[row, count:] = -1
+            self.qt[row, :count] = qt[k][keep]
+            self.qt[row, count:] = 0.0
+            self.lb_base[row, :count] = lb[k][keep]
+            self.lb_base[row, count:] = np.inf
         if obs.enabled():
-            obs.add("listdp.rows_filled")
-            obs.add("listdp.entries_stored", int(count))
-        self.neighbor[row, :count] = picked
-        self.neighbor[row, count:] = -1
-        self.qt[row, :count] = qt_row[picked]
-        self.qt[row, count:] = 0.0
-        self.lb_base[row, :count] = base[picked]
-        self.lb_base[row, count:] = np.inf
-        self.base_length[row] = length
+            obs.add("listdp.rows_filled", len(rows))
+            obs.add("listdp.entries_stored", int(finite.sum()))
 
     def advance_to(self, new_length: int, series: FloatArray) -> None:
         """Extend every stored pair's dot product to ``new_length``.

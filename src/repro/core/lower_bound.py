@@ -32,7 +32,7 @@ else ``sqrt(1 - q^2)``.  ``lb_base`` is constant per entry, which is what
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -55,26 +55,48 @@ __all__ = [
 FloatOrArray = Union[float, FloatArray]
 
 
+#: correlations above this are perfect matches that picked up rounding
+#: noise (see :func:`lower_bound_base`).
+_SNAP_ONE = 1.0 - 1e-12
+
+
 @require(length=positive_int())
 def lower_bound_base(
-    correlation: FloatOrArray, length: int, sigma_owner: float
+    correlation: FloatOrArray,
+    length: int,
+    sigma_owner: FloatOrArray,
+    out: Optional[FloatArray] = None,
 ) -> FloatOrArray:
     """The k-independent numerator ``f(q) * sqrt(l) * sigma[j,l]`` of Eq. 2.
 
     ``correlation`` is ``q`` between the pair at the base length,
     ``sigma_owner`` the standard deviation of the profile-owner
     subsequence (the one whose extension is known) at the base length.
-    Accepts scalars or arrays of correlations.
+    Accepts scalars, arrays, or a ``(K, n)`` block of correlations with
+    ``sigma_owner`` a ``(K, 1)`` column of owner sigmas.  ``q`` need not
+    be clipped to [-1, 1]: out-of-range values take the value of the
+    bound they clip to.  ``out`` (which may be ``correlation`` itself)
+    receives an array result.
     """
     if length <= 0:
         raise InvalidParameterError(f"length must be positive, got {length}")
-    q = np.clip(np.asarray(correlation, dtype=np.float64), -1.0, 1.0)
-    # A correlation within a few ulps of +/-1 is a perfect match whose
-    # computed q picked up rounding noise; snapping to the limit keeps the
-    # bound admissible (raising |q| only shrinks f(q), never inflates it).
-    q = np.where(np.abs(q) > 1.0 - 1e-12, np.sign(q), q)
-    factor = np.where(q <= 0.0, 1.0, np.sqrt(np.maximum(1.0 - q * q, 0.0)))
-    result = factor * math.sqrt(length) * sigma_owner
+    q = np.asarray(correlation, dtype=np.float64)
+    # f(q) = 1 for q <= 0, else sqrt(1 - q^2): both at once as
+    # sqrt(1 - clip(q, 0, 1)^2), which is exactly 1 for q <= 0 and 0 for
+    # q >= 1.  A correlation within a few ulps of +1 is a perfect match
+    # whose computed q picked up rounding noise; snapping it to f = 0
+    # keeps the bound admissible (raising q only shrinks f(q), never
+    # inflates it).  The snap mask is taken first so ``out`` may alias
+    # ``correlation``.
+    snapped = q > _SNAP_ONE
+    result = np.clip(q, 0.0, 1.0, out=np.empty_like(q) if out is None else out)
+    np.multiply(result, result, out=result)
+    np.subtract(1.0, result, out=result)
+    np.sqrt(result, out=result)
+    if snapped.any():
+        np.copyto(result, 0.0, where=snapped)
+    result *= math.sqrt(length)
+    result *= sigma_owner
     if np.isscalar(correlation) or getattr(correlation, "ndim", 1) == 0:
         return float(result)
     return result

@@ -8,17 +8,28 @@ of STAMP and the recomputation primitive of VALMOD's Algorithm 4 (lines
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 
-from repro.distance.profile import distance_profile_from_qt
+from repro.distance.profile import (
+    correlation_from_qt,
+    distance_from_correlation,
+    distance_profile_from_qt,
+)
 from repro.distance.sliding import moving_mean_std, sliding_dot_product
+from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import int_at_least, positive_int, require, series_like
+from repro.lint.contracts import (
+    int_at_least,
+    int_or_ints_at_least,
+    positive_int,
+    require,
+    series_like,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - kernels sits above this layer
     from repro.kernels.context import SeriesContext
@@ -47,15 +58,16 @@ def mass(
     return mass_with_stats(t, start, length, mu, sigma, context=context)
 
 
-@require(start=int_at_least(0), length=positive_int())
+@require(start=int_or_ints_at_least(0), length=positive_int())
 def mass_with_stats(
     series: FloatArray,
-    start: int,
+    start: Union[int, IntArray],
     length: int,
     mu: FloatArray,
     sigma: FloatArray,
     qt: Optional[FloatArray] = None,
     context: Optional["SeriesContext"] = None,
+    corr_out: Optional[FloatArray] = None,
 ) -> FloatArray:
     """MASS with precomputed per-window statistics (and optionally QT).
 
@@ -65,6 +77,14 @@ def mass_with_stats(
     cached series spectrum for the FFT (duck-typed so the distance layer
     never imports :mod:`repro.kernels` — any object with a matching
     ``matches``/``sliding_dot_product`` works).
+
+    ``start`` may also be a 1-D integer array of K query offsets, with
+    ``qt`` their ``(K, n_subs)`` block of dot products (required): the
+    result is the ``(K, n_subs)`` block of distance profiles, each row
+    bitwise equal to its one-query call.  Like a block sliding dot
+    product, a block call counts nothing.  A ``(K, n_subs)`` ``corr_out``
+    receives the block's correlations, so a caller that needs them too
+    (Algorithm 4's listDP fill) does not compute them again.
     """
     t = np.asarray(series, dtype=np.float64)
     n_subs = t.size - length + 1
@@ -72,6 +92,10 @@ def mass_with_stats(
         raise InvalidParameterError(
             f"length {length} leaves no subsequences in series of {t.size} points"
         )
+    if isinstance(start, np.ndarray):
+        if qt is None:
+            raise InvalidParameterError("a block of query starts needs its qt block")
+        return _mass_block(t, start, length, mu, sigma, qt, corr_out)
     if not 0 <= start < n_subs:
         raise InvalidParameterError(
             f"query start {start} out of range for {n_subs} subsequences"
@@ -86,6 +110,31 @@ def mass_with_stats(
     return distance_profile_from_qt(
         qt, length, float(mu[start]), float(sigma[start]), mu, sigma
     )
+
+
+def _mass_block(
+    t: FloatArray,
+    starts: IntArray,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    qt: FloatArray,
+    corr_out: Optional[FloatArray],
+) -> FloatArray:
+    """The block form of :func:`mass_with_stats` (K query offsets)."""
+    n_subs = t.size - length + 1
+    if starts.ndim != 1 or starts.size == 0:
+        raise InvalidParameterError("a block of query starts must be a non-empty 1-D array")
+    if not (0 <= starts.min() and starts.max() < n_subs):
+        raise InvalidParameterError(
+            f"query starts {starts} out of range for {n_subs} subsequences"
+        )
+    sigma_q = sigma[starts]
+    corr = correlation_from_qt(
+        qt, length, mu[starts][:, None],
+        np.maximum(sigma_q, CONSTANT_EPS)[:, None], mu, sigma, out=corr_out,
+    )
+    return distance_from_correlation(corr, length, sigma_q, sigma)
 
 
 def mass_pair(series: FloatArray, length: int, i: int, j: int) -> Tuple[float, float]:

@@ -13,6 +13,9 @@ Constant windows are handled with the conventions documented in
 
 from __future__ import annotations
 
+import math
+from typing import Optional, Union
+
 import numpy as np
 
 from repro.types import FloatArray
@@ -23,20 +26,25 @@ from repro.lint.contracts import int_at_least, positive_int, require, series_lik
 
 __all__ = [
     "correlation_from_qt",
+    "distance_from_correlation",
     "distance_profile_from_qt",
     "naive_distance_profile",
     "apply_exclusion_zone",
 ]
+
+#: a scalar query statistic, or a column of them for a block of queries.
+FloatOrColumn = Union[float, FloatArray]
 
 
 @require(length=positive_int())
 def correlation_from_qt(
     qt: FloatArray,
     length: int,
-    mu_q: float,
-    sigma_q: float,
+    mu_q: FloatOrColumn,
+    sigma_q: FloatOrColumn,
     mu: FloatArray,
     sigma: FloatArray,
+    out: Optional[FloatArray] = None,
 ) -> FloatArray:
     """Pearson correlation between the query and every window, from QT.
 
@@ -44,13 +52,56 @@ def correlation_from_qt(
     ``mu_q`` / ``sigma_q`` the query statistics, ``mu`` / ``sigma`` the
     per-window statistics.  Windows where either side is constant get
     correlation 0 here; the distance kernel overrides them explicitly.
+
+    ``qt`` may also be a ``(K, n)`` block of query rows, with ``mu_q`` /
+    ``sigma_q`` as ``(K, 1)`` columns; every row then holds the bits its
+    one-row call would return.  ``out`` optionally receives the result.
     """
-    denom = length * sigma_q * sigma[: qt.size]
+    n = qt.shape[-1]
+    denom = length * sigma_q * sigma[:n]
+    corr = np.multiply(length * mu_q, mu[:n], out=out)
+    np.subtract(qt, corr, out=corr)
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = (qt - length * mu_q * mu[: qt.size]) / denom
-    corr[~np.isfinite(corr)] = 0.0
+        np.divide(corr, denom, out=corr)
+    finite = np.isfinite(corr)
+    if not finite.all():
+        corr[~finite] = 0.0
     np.clip(corr, -1.0, 1.0, out=corr)
     return corr
+
+
+@require(length=positive_int())
+def distance_from_correlation(
+    corr: FloatArray,
+    length: int,
+    sigma_q: FloatOrColumn,
+    sigma: FloatArray,
+    out: Optional[FloatArray] = None,
+) -> FloatArray:
+    """Eq. 3 from correlations: ``sqrt(2 l (1 - corr))``, clamped at 0.
+
+    Applies the constant-window conventions: distance 0 when both the
+    query and the window are constant, ``sqrt(l)`` when exactly one is.
+    ``corr`` is one profile (``sigma_q`` a float) or a ``(K, n)`` block
+    (``sigma_q`` a length-K vector of query sigmas).  ``out`` may be
+    ``corr`` itself.
+    """
+    window_const = sigma[: corr.shape[-1]] < CONSTANT_EPS
+    dist = np.subtract(1.0, corr, out=out)
+    dist *= 2.0 * length
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    root = math.sqrt(length)
+    if window_const.any():
+        dist[..., window_const] = root
+    if dist.ndim == 1:
+        if sigma_q < CONSTANT_EPS:
+            dist[:] = np.where(window_const, 0.0, root)
+    else:
+        query_const = np.asarray(sigma_q).ravel() < CONSTANT_EPS
+        if query_const.any():
+            dist[query_const] = np.where(window_const, 0.0, root)
+    return dist
 
 
 @require(length=positive_int())
@@ -64,23 +115,14 @@ def distance_profile_from_qt(
 ) -> FloatArray:
     """Vectorized Eq. 3: distance profile from dot products and statistics.
 
-    Applies the constant-window conventions: distance 0 when both the
-    query and the window are constant, ``sqrt(l)`` when exactly one is.
+    :func:`correlation_from_qt` followed by
+    :func:`distance_from_correlation`, so the constant-window conventions
+    apply.
     """
     if length <= 0:
         raise InvalidParameterError(f"length must be positive, got {length}")
-    sig = sigma[: qt.size]
-    query_const = sigma_q < CONSTANT_EPS
-    window_const = sig < CONSTANT_EPS
     corr = correlation_from_qt(qt, length, mu_q, max(sigma_q, CONSTANT_EPS), mu, sigma)
-    dist_sq = 2.0 * length * (1.0 - corr)
-    np.maximum(dist_sq, 0.0, out=dist_sq)
-    profile = np.sqrt(dist_sq)
-    if query_const:
-        profile = np.where(window_const, 0.0, np.sqrt(length))
-        return np.asarray(profile, dtype=np.float64)
-    profile[window_const] = np.sqrt(length)
-    return profile
+    return distance_from_correlation(corr, length, sigma_q, sigma, out=corr)
 
 
 @require(series=series_like(), start=int_at_least(0), length=positive_int())

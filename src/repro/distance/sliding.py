@@ -29,6 +29,7 @@ from repro.lint.contracts import finite_array, int_at_least, positive_int, requi
 
 __all__ = [
     "DIRECT_DOT_MAX",
+    "count_dot_products",
     "fft_plan_size",
     "sliding_dot_product",
     "moving_mean_std",
@@ -54,6 +55,20 @@ def fft_plan_size(n: int, m: int) -> int:
     return 1 << int(np.ceil(np.log2(n + m)))
 
 
+@require(m=positive_int(), calls=int_at_least(0))
+def count_dot_products(m: int, calls: int = 1) -> None:
+    """Count ``calls`` sliding dot products of length-``m`` queries.
+
+    Each goes to ``mass.direct_dot_calls`` or ``mass.fft_calls``, by the
+    path :func:`sliding_dot_product` takes for that ``m``.  A block call
+    counts nothing itself; its caller counts the rows it keeps here.
+    """
+    if m <= DIRECT_DOT_MAX:
+        obs.add("mass.direct_dot_calls", calls)
+    else:
+        obs.add("mass.fft_calls", calls)
+
+
 @require(query=finite_array())
 def sliding_dot_product(
     query: FloatArray,
@@ -72,24 +87,34 @@ def sliding_dot_product(
     convolution is then reused instead of recomputed, and the result is
     bitwise identical to the uncached path (the transform is deterministic
     in its inputs).  Ignored on the direct-correlation path.
+
+    ``query`` may also be a ``(K, m)`` block of queries: the result is
+    the ``(K, n - m + 1)`` block whose rows equal the one-query calls bit
+    for bit (one 2-D transform pair on the FFT path, a direct correlate
+    per row below ``DIRECT_DOT_MAX``).  A block call counts nothing:
+    its caller knows how many of the rows it keeps, and counts those
+    with :func:`count_dot_products`.
     """
-    q = np.asarray(query, dtype=np.float64)
+    q = np.atleast_1d(np.asarray(query, dtype=np.float64))
     t = np.asarray(series, dtype=np.float64)
-    m = q.size
+    m = q.shape[-1]
     n = t.size
+    block = q.ndim == 2
     if m == 0:
         raise InvalidParameterError("query must be non-empty")
     if m > n:
         raise InvalidParameterError(
             f"query (length {m}) longer than series (length {n})"
         )
+    if not block:
+        count_dot_products(m)
     if m <= DIRECT_DOT_MAX:
         # Direct correlation: exact and fast for short queries.
-        obs.add("mass.direct_dot_calls")
+        if block:
+            return np.array([np.correlate(t, row, mode="valid") for row in q])
         return np.correlate(t, q, mode="valid")
-    obs.add("mass.fft_calls")
     size = fft_plan_size(n, m)
-    fq = np.fft.rfft(q[::-1], size)
+    fq = np.fft.rfft(q[..., ::-1], size)
     if series_fft is None:
         ft = np.fft.rfft(t, size)
     else:
@@ -100,7 +125,7 @@ def sliding_dot_product(
                 f"needs {size // 2 + 1}"
             )
     conv = np.fft.irfft(fq * ft, size)
-    return conv[m - 1 : n]
+    return conv[..., m - 1 : n]
 
 
 @require(window=positive_int())

@@ -163,12 +163,14 @@ class SeriesContext:
         ``sliding_dot_product(query, self.series)``: the direct path for
         short queries is untouched, and the FFT path receives this
         context's cached series spectrum for the exact plan size the
-        uncached call would build.
+        uncached call would build.  A ``(K, m)`` block of queries shares
+        one 2-D transform pair (see :func:`sliding_dot_product`).
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.size <= DIRECT_DOT_MAX:
+        q = np.atleast_1d(np.asarray(query, dtype=np.float64))
+        m = q.shape[-1]
+        if m <= DIRECT_DOT_MAX:
             return sliding_dot_product(q, self.series)
-        size = fft_plan_size(self.series.size, q.size)
+        size = fft_plan_size(self.series.size, m)
         return sliding_dot_product(q, self.series, series_fft=self.series_fft(size))
 
     # -- introspection -------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "finite_array",
     "positive_int",
     "int_at_least",
+    "int_or_ints_at_least",
     "number_in",
     "instance_of",
     "optional",
@@ -164,6 +165,22 @@ def int_at_least(minimum: int) -> Predicate:
             return f"expected an int, got {type(value).__name__}"
         if int(value) < minimum:
             return f"expected an int >= {minimum}, got {int(value)}"
+        return None
+
+    return check
+
+
+def int_or_ints_at_least(minimum: int) -> Predicate:
+    """An int, or a 1-D integer array, with every value ``>= minimum``."""
+    scalar = int_at_least(minimum)
+
+    def check(value: Any) -> Optional[str]:
+        if not isinstance(value, np.ndarray):
+            return scalar(value)
+        if value.ndim != 1 or not np.issubdtype(value.dtype, np.integer):
+            return f"expected a 1-D integer array, got {value.dtype} of ndim {value.ndim}"
+        if value.size and int(value.min()) < minimum:
+            return f"expected ints >= {minimum}, got {int(value.min())}"
         return None
 
     return check

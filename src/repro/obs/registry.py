@@ -64,7 +64,7 @@ COUNTERS: Dict[str, str] = {
     "stats.cache.hits": "moving mean/std lookups served from the context cache",
     "stats.cache.misses": "moving mean/std lookups computed fresh",
     "fft.plan.build": "series rffts computed for a new plan size",
-    "fft.plan.reuse": "sliding dot products that reused a cached series rfft",
+    "fft.plan.reuse": "sliding dot product calls that reused a cached series rfft (a query block is one call)",
     # MASS / distance layer
     "mass.profile_calls": "distance-profile evaluations via MASS",
     "mass.fft_calls": "sliding dot products computed through the FFT path",

@@ -28,6 +28,7 @@ from repro.lint.contracts import (
     float64_array,
     instance_of,
     int_at_least,
+    int_or_ints_at_least,
     no_nan_profile,
     number_in,
     optional,
@@ -69,6 +70,14 @@ class TestPredicates:
     def test_int_at_least(self):
         assert int_at_least(0)(0) is None
         assert int_at_least(0)(-1) is not None
+
+    def test_int_or_ints_at_least(self):
+        check = int_or_ints_at_least(0)
+        assert check(3) is None and check(-1) is not None
+        assert check(np.array([0, 5])) is None
+        assert check(np.array([2, -1])) is not None
+        assert check(np.array([[1, 2]])) is not None  # not 1-D
+        assert check(np.array([1.0, 2.0])) is not None  # not integers
 
     def test_number_in_open_and_closed(self):
         assert number_in(0.0, 1.0)(0.0) is None

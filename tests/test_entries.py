@@ -41,7 +41,8 @@ def build_row(series, row, length, p):
     zone = exclusion_zone_half_width(length)
     eligible = np.abs(np.arange(n_subs) - row) >= zone
     store = EntryStore.empty(n_subs, p, length)
-    store.fill_row(row, qt, corr, float(sigma[row]), length, eligible)
+    rows = np.array([row])
+    store.fill_row(rows, rows, qt[None], corr[None].copy(), sigma[rows], length)
     return store, corr, eligible, float(sigma[row])
 
 
