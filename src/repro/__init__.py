@@ -58,7 +58,6 @@ from repro.features import (
     AnnotationSummary,
     FeatureStore,
     SeriesFeatures,
-    StreamingFeatures,
     extract_features,
     extract_features_batch,
     feature_cache_key,
@@ -87,7 +86,7 @@ from repro.exceptions import (
     WindowTooSmallError,
 )
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AnnotationSummary",
@@ -111,7 +110,6 @@ __all__ = [
     "MatrixProfile",
     "StreamingMatrixProfile",
     "StreamingValmod",
-    "StreamingFeatures",
     "StreamEvent",
     "stomp",
     "stamp",

@@ -9,12 +9,13 @@ Subcommands
 ``profile``  compute one fixed-length matrix profile with a chosen
              engine (``--engine``, ``--n-jobs``).
 ``sets``     run the full Problem-2 pipeline (VALMOD + motif sets).
-``stream``   feed a series point-by-point through the streaming engine,
+``stream``   feed a series point-by-point through
+             :class:`~repro.matrixprofile.streaming_valmod.StreamingValmod`,
              printing motif/discord change events as they fire.
 ``datasets`` list the synthetic dataset families and their statistics.
 ``bench``    run one of the figure sweeps at a small scale.
 
-Per-series analysis commands route through the :mod:`repro.features`
+Per-series batch analysis commands route through the :mod:`repro.features`
 façade — the CLI composes no workload modules itself (lint rule R009).
 
 Every subcommand accepts ``--trace`` (plus ``--trace-format`` /
@@ -516,7 +517,7 @@ def _discord_table(discords) -> str:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.features import StreamingFeatures
+    from repro.matrixprofile.streaming_valmod import StreamingValmod
 
     series = _load_series(args)
     init = args.init if args.init > 0 else 4 * args.l_max
@@ -527,12 +528,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    stream = StreamingFeatures(
+    stream = StreamingValmod(
         series[:init],
         args.l_min,
         args.l_max,
         p=args.p,
-        top_k=args.top,
         k_discords=args.k_discords,
         engine=args.engine,
         n_jobs=args.n_jobs,

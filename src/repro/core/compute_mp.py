@@ -21,16 +21,16 @@ processes.  Each worker replays the STOMP dot-product recurrence up to
 its block start (cheap — no distance profiles are materialized during the
 replay) and then runs the identical per-row pipeline, so the assembled
 profile, index, and listDP rows are bitwise identical to a serial run.
-The series travels through ``multiprocessing.shared_memory``; each block
-result comes back as plain arrays the parent stitches together.
+The series travels to each worker in its task (every worker works on its
+own copy anyway); each block result comes back as plain arrays the
+parent stitches together.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_context
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -80,45 +80,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     if n_jobs < 0:
         return max(1, cpus + 1 + n_jobs)
     return int(n_jobs)
-
-
-def _create_shared(arr: FloatArray) -> Tuple[shared_memory.SharedMemory, FloatArray]:
-    """Copy ``arr`` into a fresh shared-memory block; returns (shm, view)."""
-    shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    return shm, view
-
-
-def _attach(name: str, shape: Tuple[int, ...], dtype: str, untrack: bool):
-    """Attach to an existing block, optionally without tracking it.
-
-    Under a *spawn* start method every worker runs its own resource
-    tracker, which would unlink the block when the first worker exits —
-    yanking it out from under its siblings and the parent (who owns the
-    lifetime and unlinks in its ``finally``).  Those workers must
-    unregister after attaching.  Under *fork* the tracker is shared with
-    the parent, and unregistering here would instead drop the parent's
-    own registration — so they must not.
-    """
-    shm = shared_memory.SharedMemory(name=name)
-    if untrack:
-        try:  # pragma: no cover - depends on multiprocessing internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except (ImportError, AttributeError, KeyError, ValueError) as err:
-            # Tracker layout differs across Python patch releases; a failed
-            # unregister only risks a spurious cleanup warning, so log and
-            # continue.  Anything else (e.g. a corrupted tracker pipe) is a
-            # real failure and propagates.
-            warnings.warn(
-                f"could not unregister shared-memory block {shm._name!r} "
-                f"from the worker resource tracker: {err!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
 
 def _preferred_context():
@@ -216,20 +177,16 @@ def _fill_block(
 
 
 def _block_worker(task):
-    """Worker-process entry: evaluate one row block from shared memory.
+    """Worker-process entry: evaluate one row block of the series.
 
     Returns the block result plus the worker's tracer snapshot (None
     when tracing is off) so the parent can aggregate listDP counters.
     """
-    name, n, length, p, start, stop, untrack, trace = task
+    t, length, p, start, stop, trace = task
     obs.worker_begin(trace)
-    shm, t = _attach(name, (n,), "float64", untrack)
-    try:
-        with obs.span("compute_mp/block"):
-            block = _fill_block(t.copy(), length, p, start, stop)
-        return (start, stop) + block + (obs.worker_snapshot(),)
-    finally:
-        shm.close()
+    with obs.span("compute_mp/block"):
+        block = _fill_block(t, length, p, start, stop)
+    return (start, stop) + block + (obs.worker_snapshot(),)
 
 
 @require(series=series_like(min_length=4), length=positive_int(), p=positive_int())
@@ -248,7 +205,7 @@ def compute_matrix_profile(
     distributes row blocks over worker processes (``None``/``0`` = all
     CPUs); results are identical for every worker count.  ``context``
     optionally carries cached series statistics; workers rebuild their
-    own from the shared series (the cache is per-process).
+    own from their copy of the series (the cache is per-process).
     """
     ctx = SeriesContext.ensure(series, context, min_length=4)
     t = ctx.series
@@ -273,31 +230,20 @@ def compute_matrix_profile(
         store.lb_base[:] = lb
         return MatrixProfile(profile=profile, index=index, length=length), store
 
-    shm, _ = _create_shared(t)
-    try:
-        ctx = _preferred_context()
-        untrack = ctx.get_start_method() != "fork"
-        tasks = [
-            (shm.name, t.size, length, p, start, stop, untrack, obs.enabled())
-            for start, stop in blocks
-        ]
-        with obs.span("compute_mp"):
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(blocks)), mp_context=ctx
-            ) as pool:
-                for start, stop, prof, idx, nb, qt, lb, trace in pool.map(
-                    _block_worker, tasks
-                ):
-                    profile[start:stop] = prof
-                    index[start:stop] = idx
-                    store.neighbor[start:stop] = nb
-                    store.qt[start:stop] = qt
-                    store.lb_base[start:stop] = lb
-                    obs.merge(trace)
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
+    tasks = [
+        (t, length, p, start, stop, obs.enabled()) for start, stop in blocks
+    ]
+    with obs.span("compute_mp"):
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(blocks)), mp_context=_preferred_context()
+        ) as pool:
+            for start, stop, prof, idx, nb, qt, lb, trace in pool.map(
+                _block_worker, tasks
+            ):
+                profile[start:stop] = prof
+                index[start:stop] = idx
+                store.neighbor[start:stop] = nb
+                store.qt[start:stop] = qt
+                store.lb_base[start:stop] = lb
+                obs.merge(trace)
     return MatrixProfile(profile=profile, index=index, length=length), store

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -98,21 +98,27 @@ def pairwise_entry_distances(
     mu: FloatArray,
     sigma: FloatArray,
     length: int,
+    rows: Optional[IntArray] = None,
 ) -> FloatArray:
     """Exact distances for every stored entry at ``length`` (vectorized Eq. 3).
 
-    Shared by ComputeSubMP's validity test and the MAD-style discord
-    driver (:mod:`repro.core.discords_variable`): each stored pair's
+    Shared by ComputeSubMP's validity test, the MAD-style discord
+    driver (:mod:`repro.core.discords_variable`) and the motif-set
+    snapshots of :class:`~repro.core.valmod.Valmod`: each stored pair's
     dot product, advanced to ``length``, yields that pair's exact
     z-normalized distance, which is an *upper bound* on the profile
-    minimum of its row.  Unusable entries report ``+inf``.
+    minimum of its row.  Constant windows follow the usual conventions
+    (both constant: 0; one constant: ``sqrt(length)``).  Unusable
+    entries report ``+inf``.  ``rows`` are the owners' subsequence
+    offsets, one per row of ``qt``; by default row ``k`` owns offset
+    ``k``.
     """
-    n_rows = qt.shape[0]
+    owners: Union[slice, IntArray] = slice(0, qt.shape[0]) if rows is None else rows
     safe_nb = np.where(in_range, nb, 0)
     mu_i = mu[safe_nb]
     sig_i = sigma[safe_nb]
-    mu_j = mu[:n_rows][:, None]
-    sig_j = sigma[:n_rows][:, None]
+    mu_j = mu[owners][:, None]
+    sig_j = sigma[owners][:, None]
     denom = length * np.maximum(sig_i, CONSTANT_EPS) * np.maximum(sig_j, CONSTANT_EPS)
     corr = (qt - length * mu_i * mu_j) / denom
     np.clip(corr, -1.0, 1.0, out=corr)

@@ -43,7 +43,6 @@ from repro.features.store import (
     feature_cache_key,
     resolve_store,
 )
-from repro.features.streaming import StreamingFeatures
 
 __all__ = [
     "AnnotationSummary",
@@ -55,7 +54,6 @@ __all__ = [
     "STORE_ENV",
     "STORE_SCHEMA_VERSION",
     "SeriesFeatures",
-    "StreamingFeatures",
     "extract_features",
     "extract_features_batch",
     "feature_cache_key",

@@ -43,6 +43,11 @@ the *streaming-vs-batch differential wall* — is anchored here:
   with valid bounds affects cost, never output.  Cold starts seed the
   bounds from the same listDP store the batch driver builds.
 
+The window itself — points, per-length window statistics, growth,
+eviction, offset, point total and the capacity rule — belongs to
+:class:`~repro.kernels.streaming_stats.StreamingSeriesStats`; the eager
+VALMP arrays are columns of it, so they grow and slide with the points.
+
 Coordinates: positions in materialized results are window-relative
 (identical to a batch run on :meth:`series`); :attr:`window_start`
 maps them to absolute stream offsets.
@@ -67,10 +72,7 @@ from repro.core.discords_variable import length_upper_bound  # repro-lint: ignor
 from repro.core.valmod import DEFAULT_P, Valmod, ValmodResult
 from repro.distance.profile import distance_profile_from_qt
 from repro.distance.znorm import as_series
-from repro.exceptions import (
-    InvalidParameterError,
-    WindowTooSmallError,
-)
+from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.kernels.streaming_stats import StreamingSeriesStats
 from repro.lint.contracts import (
@@ -105,6 +107,10 @@ _MAGNITUDE_ANCHOR_FACTOR = 1e3
 
 #: retained change events; the oldest are dropped (and counted) beyond.
 _EVENT_QUEUE_MAX = 4096
+
+#: the eager VALMP's window columns: normalized distance, raw distance,
+#: length and absolute neighbor offset per l_min position.
+_VALMP_COLUMNS = ("vl_norm", "vl_raw", "vl_len", "vl_nbr")
 
 
 @dataclass(frozen=True)
@@ -166,14 +172,8 @@ class StreamingValmod:
         max_points: Optional[int] = None,
     ) -> None:
         t = as_series(series, min_length=8)
-        if l_min < 2 or l_min > l_max:
-            raise InvalidParameterError(
-                f"need 2 <= l_min <= l_max, got l_min={l_min} l_max={l_max}"
-            )
-        if l_max > t.size // 2:
-            raise InvalidParameterError(
-                f"l_max {l_max} invalid for an initial series of {t.size} points"
-            )
+        self._stats = StreamingSeriesStats(t, l_min, l_max)
+        self._stats.max_points = max_points
         if p <= 0:
             raise InvalidParameterError(f"p must be positive, got {p}")
         if k_discords <= 0:
@@ -187,11 +187,6 @@ class StreamingValmod:
         self.track_top_k = int(track_top_k)
         self._engine = str(engine)
         self._n_jobs = n_jobs
-        self._max_points = self._validated_max_points(max_points)
-
-        self._stats = StreamingSeriesStats(t, self.l_min, self.l_max)
-        self._start = 0
-        self._total = t.size
         self._version = 0
         lengths = range(self.l_min, self.l_max + 1)
         self._zones: Dict[int, int] = {
@@ -217,15 +212,12 @@ class StreamingValmod:
             length: None for length in lengths
         }
 
-        # eager VALMP arrays (window-relative positions, absolute neighbors)
-        count = t.size - self.l_min + 1
-        self._vl_cap = 1
-        while self._vl_cap < 2 * count:
-            self._vl_cap *= 2
-        self._vl_norm = np.full(self._vl_cap, np.inf, dtype=np.float64)
-        self._vl_raw = np.full(self._vl_cap, np.inf, dtype=np.float64)
-        self._vl_len = np.zeros(self._vl_cap, dtype=np.int64)
-        self._vl_nbr = np.full(self._vl_cap, -1, dtype=np.int64)
+        # eager VALMP columns at l_min (window-relative positions,
+        # absolute neighbors)
+        self._stats.add_column("vl_norm", np.inf)
+        self._stats.add_column("vl_raw", np.inf)
+        self._stats.add_column("vl_len", 0, np.int64)
+        self._stats.add_column("vl_nbr", -1, np.int64)
 
         self._events: List[StreamEvent] = []
         self._motif_cache: Optional[Tuple[int, ValmodResult]] = None
@@ -235,38 +227,27 @@ class StreamingValmod:
         self._last_discord_sig: Optional[Tuple] = None
         self._warm_lengths: List[int] = []
 
-        if self._max_points is not None and self._stats.n_points > self._max_points:
-            self._evict(self._stats.n_points - self._max_points)
+        if self._stats.excess:
+            self._evict(self._stats.excess)
             self._version += 1
 
     # ------------------------------------------------------------------
     # window geometry
 
-    def _validated_max_points(self, max_points: Optional[int]) -> Optional[int]:
-        if max_points is None:
-            return None
-        max_points = int(max_points)
-        if max_points < 2 * self.l_max:
-            raise WindowTooSmallError(
-                f"max_points={max_points} cannot hold two non-overlapping "
-                f"subsequences of l_max={self.l_max} (need >= {2 * self.l_max})"
-            )
-        return max_points
-
     @property
     def max_points(self) -> Optional[int]:
         """Sliding-window capacity (None = unbounded)."""
-        return self._max_points
+        return self._stats.max_points
 
     @property
     def window_start(self) -> int:
         """Absolute stream offset of the first retained point."""
-        return self._start
+        return self._stats.window_start
 
     @property
     def total_points(self) -> int:
         """Points ingested over the stream's lifetime."""
-        return self._total
+        return self._stats.total_points
 
     def __len__(self) -> int:
         return self._stats.n_points
@@ -281,9 +262,9 @@ class StreamingValmod:
         Raises :class:`~repro.exceptions.WindowTooSmallError` when the
         new capacity cannot hold two non-overlapping ``l_max`` windows.
         """
-        self._max_points = self._validated_max_points(max_points)
-        if self._max_points is not None and self._stats.n_points > self._max_points:
-            self._evict(self._stats.n_points - self._max_points)
+        self._stats.max_points = max_points
+        if self._stats.excess:
+            self._evict(self._stats.excess)
             self._version += 1
 
     # ------------------------------------------------------------------
@@ -291,17 +272,11 @@ class StreamingValmod:
 
     def append(self, value: float) -> None:
         """Ingest one point: O(L·n) eager update, caches invalidated."""
-        v = float(value)
-        if not np.isfinite(v):
-            raise InvalidParameterError(f"appended value must be finite, got {value}")
         with obs.span("streaming.append"):
+            self._ingest(float(value))
             obs.add("streaming.appends")
-            self._ingest(v)
-            if (
-                self._max_points is not None
-                and self._stats.n_points > self._max_points
-            ):
-                self._evict(self._stats.n_points - self._max_points)
+            if self._stats.excess:
+                self._evict(self._stats.excess)
         self._version += 1
 
     def extend(self, values: Sequence[float]) -> None:
@@ -310,11 +285,12 @@ class StreamingValmod:
             self.append(value)
 
     def _ingest(self, value: float) -> None:
+        stats = self._stats
+        stats.append(value)  # rejects a non-finite value before any update
         force_anchor = abs(value) > _MAGNITUDE_ANCHOR_FACTOR * self._scale
         self._scale = max(self._scale, abs(value))
-        self._stats.append(value)
-        self._total += 1
-        t = self._stats.series()
+        t = stats.series()
+        start = stats.window_start
         n = t.size
         l_min = self.l_min
         n_subs = n - l_min + 1
@@ -336,12 +312,14 @@ class StreamingValmod:
             qt[0] = float(np.dot(t[:l_min], t[new:]))
         self._last_qt = qt
 
-        self._grow_valmp(n_subs)
+        vl_norm, vl_raw, vl_len, vl_nbr = (
+            stats.column(name) for name in _VALMP_COLUMNS
+        )
         # the new l_min position starts unknown
-        self._vl_norm[n_subs - 1] = np.inf
-        self._vl_raw[n_subs - 1] = np.inf
-        self._vl_len[n_subs - 1] = 0
-        self._vl_nbr[n_subs - 1] = -1
+        vl_norm[n_subs - 1] = np.inf
+        vl_raw[n_subs - 1] = np.inf
+        vl_len[n_subs - 1] = 0
+        vl_nbr[n_subs - 1] = -1
 
         qt_l = qt
         updated = 0
@@ -349,7 +327,7 @@ class StreamingValmod:
             if length > l_min:
                 qt_l = qt_l[1:] + t[: n - length + 1] * t[n - length]
             owner = n - length  # newest subsequence of this length
-            mu, sigma = self._stats.mean_std(length)
+            mu, sigma = stats.mean_std(length)
             row = distance_profile_from_qt(
                 qt_l, length, float(mu[owner]), float(sigma[owner]), mu, sigma
             )
@@ -369,86 +347,64 @@ class StreamingValmod:
                 if norm_d > self._discord_ub[length]:
                     self._discord_ub[length] = norm_d
                 self._ub_support[length] = min(
-                    self._ub_support[length], self._start + j
+                    self._ub_support[length], start + j
                 )
             if d < self._motif_best[length]:
                 had_baseline = math.isfinite(self._motif_best[length])
                 self._motif_best[length] = d
-                self._motif_members[length] = (
-                    self._start + j,
-                    self._start + owner,
-                )
+                self._motif_members[length] = (start + j, start + owner)
                 if had_baseline:
                     self._emit(
                         "motif-improved",
                         length,
-                        f"pair ({self._start + j}, {self._start + owner}) "
+                        f"pair ({start + j}, {start + owner}) "
                         f"at normalized distance {norm_d:.6f}",
                     )
             # Algorithm 2 merge of this row into the eager VALMP
             norm_row = row * math.sqrt(1.0 / length)
             prefix = row.size
-            improved = norm_row < self._vl_norm[:prefix]
+            improved = norm_row < vl_norm[:prefix]
             if improved.any():
-                self._vl_norm[:prefix][improved] = norm_row[improved]
-                self._vl_raw[:prefix][improved] = row[improved]
-                self._vl_len[:prefix][improved] = length
-                self._vl_nbr[:prefix][improved] = self._start + owner
-            if norm_d < self._vl_norm[owner]:
-                self._vl_norm[owner] = norm_d
-                self._vl_raw[owner] = d
-                self._vl_len[owner] = length
-                self._vl_nbr[owner] = self._start + j
+                vl_norm[:prefix][improved] = norm_row[improved]
+                vl_raw[:prefix][improved] = row[improved]
+                vl_len[:prefix][improved] = length
+                vl_nbr[:prefix][improved] = start + owner
+            if norm_d < vl_norm[owner]:
+                vl_norm[owner] = norm_d
+                vl_raw[owner] = d
+                vl_len[owner] = length
+                vl_nbr[owner] = start + j
         obs.add("streaming.lengths.updated", updated)
 
-    def _grow_valmp(self, count: int) -> None:
-        if count <= self._vl_cap:
-            return
-        obs.add("streaming.buffer.regrows")
-        new_cap = self._vl_cap
-        while new_cap < count:
-            new_cap *= 2
-        for name in ("_vl_norm", "_vl_raw", "_vl_len", "_vl_nbr"):
-            old = getattr(self, name)
-            new = np.empty(new_cap, dtype=old.dtype)
-            new[: self._vl_cap] = old
-            setattr(self, name, new)
-        self._vl_cap = new_cap
-
     def _evict(self, count: int) -> None:
-        remaining = self._stats.n_points - count
-        if remaining < 2 * self.l_max:
-            raise WindowTooSmallError(
-                f"evicting {count} points would leave {remaining} < "
-                f"{2 * self.l_max} needed for l_max={self.l_max}"
-            )
-        obs.add("streaming.entries.evicted", count)
-        self._stats.evict(count)
-        self._start += count
+        stats = self._stats
+        stats.evict(count)
+        start = stats.window_start
         self._last_qt = self._last_qt[count:]
-        vl_count = self._stats.n_points - self.l_min + 1
-        for arr in (self._vl_norm, self._vl_raw, self._vl_len, self._vl_nbr):
-            arr[:vl_count] = arr[count : count + vl_count]
-        stale = self._vl_nbr[:vl_count] < self._start
+        vl_count = stats.n_points - self.l_min + 1
+        vl_norm, vl_raw, vl_len, vl_nbr = (
+            stats.column(name)[:vl_count] for name in _VALMP_COLUMNS
+        )
+        stale = vl_nbr < start
         if stale.any():
-            self._vl_norm[:vl_count][stale] = np.inf
-            self._vl_raw[:vl_count][stale] = np.inf
-            self._vl_len[:vl_count][stale] = 0
-            self._vl_nbr[:vl_count][stale] = -1
+            vl_norm[stale] = np.inf
+            vl_raw[stale] = np.inf
+            vl_len[stale] = 0
+            vl_nbr[stale] = -1
         for length in range(self.l_min, self.l_max + 1):
             support = self._ub_support[length]
-            if support >= 0 and support < self._start:
+            if support >= 0 and support < start:
                 self._discord_ub[length] = math.inf
                 self._ub_support[length] = -1
             members = self._motif_members[length]
-            if members is not None and min(members) < self._start:
+            if members is not None and min(members) < start:
                 self._motif_best[length] = math.inf
                 self._motif_members[length] = None
-        self._scale = max(1.0, float(np.abs(self._stats.series()).max()))
+        self._scale = max(1.0, float(np.abs(stats.series()).max()))
         self._emit(
             "window-evicted",
             0,
-            f"{count} points retired; window now starts at {self._start}",
+            f"{count} points retired; window now starts at {start}",
         )
 
     # ------------------------------------------------------------------
@@ -459,8 +415,8 @@ class StreamingValmod:
             del self._events[0]
             obs.add("streaming.events.dropped")
         self._events.append(
-            StreamEvent(kind=kind, at_point=self._total, length=length,
-                        detail=detail)
+            StreamEvent(kind=kind, at_point=self._stats.total_points,
+                        length=length, detail=detail)
         )
 
     def drain_events(self) -> List[StreamEvent]:
@@ -512,24 +468,22 @@ class StreamingValmod:
         return dict(self.motifs().motif_pairs)
 
     def _refresh_from_motifs(self, result: ValmodResult) -> None:
+        start = self._stats.window_start
         for length, pair in result.motif_pairs.items():
             self._motif_best[length] = pair.distance
-            self._motif_members[length] = (
-                self._start + pair.a,
-                self._start + pair.b,
-            )
+            self._motif_members[length] = (start + pair.a, start + pair.b)
         valmp = result.valmp
         count = valmp.n_profiles
-        self._grow_valmp(count)
-        self._vl_norm[:count] = valmp.norm_distances
-        self._vl_raw[:count] = valmp.distances
-        self._vl_len[:count] = valmp.lengths
+        vl_norm, vl_raw, vl_len, vl_nbr = (
+            self._stats.column(name) for name in _VALMP_COLUMNS
+        )
+        vl_norm[:count] = valmp.norm_distances
+        vl_raw[:count] = valmp.distances
+        vl_len[:count] = valmp.lengths
         known = valmp.indices >= 0
-        nbr = np.where(known, valmp.indices + self._start, -1)
-        self._vl_nbr[:count] = nbr
+        vl_nbr[:count] = np.where(known, valmp.indices + start, -1)
         best = result.best_motif_pair()
-        sig = (best.length, self._start + best.a, self._start + best.b,
-               best.distance)
+        sig = (best.length, start + best.a, start + best.b, best.distance)
         if self._last_motif_sig is not None and sig != self._last_motif_sig:
             self._emit(
                 "motifs-changed",
@@ -556,14 +510,15 @@ class StreamingValmod:
         with obs.span("streaming.materialize.discords"):
             selection = self._materialize_discords(arr, ctx)
         self._discord_cache = (self._version, list(selection))
+        start = self._stats.window_start
         sig = tuple(
-            (d.length, self._start + d.start, d.normalized_distance)
+            (d.length, start + d.start, d.normalized_distance)
             for d in selection
         )
         if self._last_discord_sig is not None and sig != self._last_discord_sig:
             top = selection[0] if selection else None
             detail = (
-                f"top discord now start {self._start + top.start} "
+                f"top discord now start {start + top.start} "
                 f"length {top.length} normalized "
                 f"{top.normalized_distance:.6f}"
                 if top is not None
@@ -588,7 +543,9 @@ class StreamingValmod:
                 self._discord_ub[length] = (
                     float(mp.profile.max()) / self._sqrt[length]
                 )
-                self._ub_support[length] = self._start + int(mp.index.min())
+                self._ub_support[length] = (
+                    self._stats.window_start + int(mp.index.min())
+                )
             else:
                 self._discord_ub[length] = math.inf
                 self._ub_support[length] = -1
@@ -674,7 +631,7 @@ class StreamingValmod:
         valid = nb[(nb >= 0) & (nb <= n - length)]
         if valid.size == 0:
             return -1
-        return self._start + int(valid.min())
+        return self._stats.window_start + int(valid.min())
 
     # ------------------------------------------------------------------
     # eager snapshots (approximate, no materialization)
@@ -688,14 +645,15 @@ class StreamingValmod:
         was evicted).
         """
         count = self._stats.n_points - self.l_min + 1
-        nbr = self._vl_nbr[:count].copy()
-        known = nbr >= 0
-        nbr[known] -= self._start
+        vl_norm, vl_raw, vl_len, vl_nbr = (
+            self._stats.column(name)[:count].copy() for name in _VALMP_COLUMNS
+        )
+        vl_nbr[vl_nbr >= 0] -= self._stats.window_start
         return {
-            "norm_distances": self._vl_norm[:count].copy(),
-            "distances": self._vl_raw[:count].copy(),
-            "lengths": self._vl_len[:count].copy(),
-            "neighbors": nbr,
+            "norm_distances": vl_norm,
+            "distances": vl_raw,
+            "lengths": vl_len,
+            "neighbors": vl_nbr,
         }
 
     def discord_bounds(self) -> Dict[int, float]:

@@ -103,7 +103,7 @@ COUNTERS: Dict[str, str] = {
     "streaming.lengths.updated": "per-length eager states refreshed across appends",
     "streaming.entries.evicted": "profile/VALMP entries retired by window eviction",
     "streaming.rows.repaired": "evicted-neighbor rows recomputed exactly after eviction",
-    "streaming.buffer.regrows": "amortized capacity doublings of hoisted scratch buffers",
+    "streaming.buffer.regrows": "amortized capacity doublings of the streaming window",
     "streaming.qt.reanchors": "trailing QT rows recomputed exactly (drift schedule)",
     "streaming.events.dropped": "change events discarded because the event queue was full",
     # features façade / store

@@ -100,15 +100,6 @@ class TestSparkBucketing:
 
 
 class TestStreamingErrorPaths:
-    def test_not_computed_guard(self, noise_series):
-        from repro.exceptions import NotComputedError
-        from repro.matrixprofile import StreamingMatrixProfile
-
-        smp = StreamingMatrixProfile(noise_series[:200], length=16)
-        smp._profile = None  # simulate a half-initialized instance
-        with pytest.raises(NotComputedError):
-            smp.matrix_profile()
-
     @pytest.mark.parametrize("length", [0, 1, -4, 101, 10_000])
     def test_invalid_lengths_rejected(self, noise_series, length):
         from repro.matrixprofile import StreamingMatrixProfile

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.lower_bound import (
     lower_bound_base,
@@ -81,6 +81,7 @@ class TestAdmissibility:
 
 class TestRankPreservation:
     @given(st.integers(0, 2**31 - 1))
+    @example(320196)  # near-ties that rounding to 10 decimals split unevenly
     @settings(max_examples=25, deadline=None)
     def test_lb_ordering_is_k_invariant(self, seed):
         rng = np.random.default_rng(seed)
@@ -90,9 +91,9 @@ class TestRankPreservation:
         n_target = t.size - (length + k_far) + 1
         lb1 = lower_bound_profile(t, owner, length, 1)[:n_target]
         lb2 = lower_bound_profile(t, owner, length, k_far)[:n_target]
-        # argsort with a stable tiebreak must give identical permutations
-        order1 = np.lexsort((np.arange(n_target), np.round(lb1, 10)))
-        order2 = np.lexsort((np.arange(n_target), np.round(lb2, 10)))
+        # the exact orders (ties broken by position) must be identical
+        order1 = np.argsort(lb1, kind="stable")
+        order2 = np.argsort(lb2, kind="stable")
         np.testing.assert_array_equal(order1, order2)
 
     def test_scaling_between_horizons_is_constant(self):

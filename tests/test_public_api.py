@@ -102,7 +102,6 @@ def test_features_subpackage_surface_pinned():
         "STORE_ENV",
         "STORE_SCHEMA_VERSION",
         "SeriesFeatures",
-        "StreamingFeatures",
         "extract_features",
         "extract_features_batch",
         "feature_cache_key",

@@ -7,6 +7,7 @@ import pytest
 from repro.baselines.stomp_range import stomp_range
 from repro.core.valmod import Valmod, valmod
 from repro.core.valmp import VALMP
+from repro.distance.mass import mass
 from repro.exceptions import InvalidParameterError, InvalidSeriesError
 
 
@@ -94,6 +95,30 @@ class TestValmpSemantics:
         lengths = run.valmp.lengths[run.valmp.updated]
         assert lengths.min() >= 16
         assert lengths.max() <= 24
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_pair_snapshots_match_mass_on_constant_shelves(self, seed):
+        """Recorded partial profiles keep Eq. 3's constant-window rules.
+
+        Windows on a constant shelf have zero deviation: two of them are
+        at distance 0, and one of them against a varying window at
+        sqrt(length).  The snapshots must agree with MASS there too.
+        """
+        t = np.cumsum(np.random.default_rng(seed).standard_normal(1200))
+        t[300:420] = 5.0
+        t[800:920] = -3.0
+        run = Valmod(t, 20, 30, p=10, track_top_k=20).run()
+        checked = 0
+        for record in run.best_k_pairs():
+            for snap in (record.profile_a, record.profile_b):
+                if snap is None or snap.neighbors.size == 0:
+                    continue
+                reference = mass(t, snap.owner, snap.length)
+                np.testing.assert_allclose(
+                    snap.distances, reference[snap.neighbors], rtol=0, atol=1e-6
+                )
+                checked += 1
+        assert checked > 0
 
 
 class TestStats:
